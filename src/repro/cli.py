@@ -37,7 +37,7 @@
   sparklines and regression flags;
 * ``serve`` — compilation-as-a-service: the async HTTP compile server
   (``POST /compile``, ``GET /healthz``, ``GET /metrics``) with warm
-  fast lane, batched engine waves, request coalescing, and bounded
+  fast lane, per-request engine dispatch, request coalescing, and bounded
   backpressure (see ``docs/serving.md``);
 * ``loadtest`` — drive a live (or ``--spawn``ed) compile server with a
   seeded open/closed-loop request mix; reports latency quantiles,
@@ -519,8 +519,9 @@ def _cmd_trend(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the async compile server until interrupted."""
+    """Run the async compile server until SIGINT or SIGTERM."""
     import asyncio
+    import signal
 
     from .serve import CompileServer, ServeConfig
 
@@ -529,7 +530,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        max_batch=args.max_batch,
         queue_limit=args.queue_limit,
         client_limit=args.client_limit,
         read_timeout_s=args.read_timeout,
@@ -541,18 +541,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"repro serve listening on http://{config.host}:{server.port} "
-            f"(jobs={config.jobs}, max_batch={config.max_batch}, "
-            f"queue_limit={config.queue_limit})"
+            f"(jobs={config.jobs}, queue_limit={config.queue_limit})"
         )
+        # Both signals stop gracefully: ``server.stop()`` closes the
+        # engine pool, so no worker outlives the server.
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stopping.set)
         try:
-            await asyncio.Event().wait()
+            await stopping.wait()
         finally:
             await server.stop()
-
-    try:
-        asyncio.run(_serve_forever())
-    except KeyboardInterrupt:
         print("repro serve: shutting down")
+
+    asyncio.run(_serve_forever())
     return EXIT_OK
 
 
@@ -1154,12 +1157,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", help="shared on-disk schedule cache directory"
     )
     serve.add_argument(
-        "--max-batch", type=int, default=8,
-        help="most requests folded into one engine wave",
-    )
-    serve.add_argument(
         "--queue-limit", type=int, default=64,
-        help="cold requests queued before shedding with 429",
+        help="cold requests compiling or waiting before shedding with 429",
     )
     serve.add_argument(
         "--client-limit", type=int, default=16,

@@ -329,7 +329,7 @@ def _run_engine_phase(
             overrun = max(0.0, result.compile_seconds - deadline_s)
             report.max_overrun_s = max(report.max_overrun_s, overrun)
     # Deadline honored within tolerance: detection is bounded by the
-    # wave timeout; the inline fallback rescue afterwards is cheap, so
+    # task's own deadline + kill tolerance; the inline fallback rescue afterwards is cheap, so
     # a generous-but-finite allowance separates "honored" from "hung".
     allowance = kill_tolerance_s + 2.0
     if report.max_overrun_s > allowance:

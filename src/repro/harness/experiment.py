@@ -467,9 +467,10 @@ def run_program(
             ``jobs``/``cache``/``resilience``.
         resilience: Optional :class:`~repro.engine.resilience.
             ResilienceConfig`; when given, an engine is created even for
-            ``jobs=1`` and runs on the resilient path (deadlines,
-            retries, circuit breakers).  ``None`` (the default) keeps
-            the classic byte-identical execution paths.
+            ``jobs=1`` and runs its task loop under that policy
+            (deadlines, retries, circuit breakers).  ``None`` (the
+            default) keeps the byte-identical serial path, or the
+            engine's :data:`~repro.engine.pool.DEFAULT_POLICY`.
         ledger: Optional :class:`~repro.observability.flight.
             FlightLedger`; when given, an engine is created even for
             ``jobs=1`` and every region task appends one flight record

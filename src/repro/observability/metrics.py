@@ -107,7 +107,6 @@ SERVE_COUNTERS = (
     "serve.fast_path",
     "serve.compiled",
     "serve.coalesced",
-    "serve.batches",
     "serve.parse_hits",
     "serve.parse_misses",
     "serve.shed.client",
@@ -117,9 +116,8 @@ SERVE_COUNTERS = (
 
 #: Histograms the compile server records: ``serve.request_seconds.
 #: <outcome>`` (end-to-end request latency per response class, the
-#: source of the served p50/p99 quantiles), ``serve.batch_size``
-#: (requests folded per engine wave), and ``serve.queue_depth``
-#: (cold-queue depth sampled at each enqueue).
+#: source of the served p50/p99 quantiles) and ``serve.queue_depth``
+#: (cold requests pending, sampled as each new one is admitted).
 SERVE_HISTOGRAM_PREFIXES = ("serve.request_seconds",)
 
 
@@ -152,16 +150,14 @@ def _telemetry_names() -> Dict[str, str]:
         "cache.quarantined": "corrupt cache files moved into quarantine/",
         "serve.requests": "HTTP requests accepted by the compile server",
         "serve.fast_path": "compile requests answered from the warm fast lane",
-        "serve.compiled": "compile requests queued for an engine wave",
+        "serve.compiled": "compile requests handed to the engine lane",
         "serve.coalesced": "duplicate in-flight requests folded onto one compile",
-        "serve.batches": "engine waves dispatched by the batcher",
         "serve.parse_hits": "request bodies answered from the parse cache",
         "serve.parse_misses": "request bodies parsed and fingerprinted from scratch",
         "serve.shed.client": "requests shed with 429 by the per-client limit",
-        "serve.shed.queue": "requests shed with 429 by the cold-queue bound",
+        "serve.shed.queue": "requests shed with 429 by the pending cold-request bound",
         "serve.slow_clients": "connections dropped for dawdling past the read timeout",
-        "serve.batch_size": "requests folded into each engine wave",
-        "serve.queue_depth": "cold-queue depth sampled at each enqueue",
+        "serve.queue_depth": "cold requests pending, sampled as each new one is admitted",
     }
     for name in RESILIENCE_COUNTERS + CACHE_COUNTERS + SERVE_COUNTERS:
         names[name] = descriptions[name]
@@ -180,8 +176,7 @@ def _telemetry_names() -> Dict[str, str]:
             names[f"{prefix}.{outcome}"] = (
                 f"end-to-end request latency in seconds for {outcome} responses"
             )
-    for name in ("serve.batch_size", "serve.queue_depth"):
-        names[name] = descriptions[name]
+    names["serve.queue_depth"] = descriptions["serve.queue_depth"]
     return names
 
 

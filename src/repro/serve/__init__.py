@@ -8,8 +8,8 @@ service without adding a single runtime dependency:
   fingerprint built from the engine's canonical per-region keys;
 * :mod:`~repro.serve.server` — :class:`CompileServer`, a stdlib
   ``asyncio`` HTTP/1.1 server with in-flight request coalescing, a
-  warm-cache fast lane, engine-batched cold waves, bounded-queue
-  backpressure (``429`` + ``Retry-After``), and flight-recorder
+  warm-cache fast lane, per-request engine dispatch for cold requests,
+  bounded backpressure (``429`` + ``Retry-After``), and flight-recorder
   integration; :class:`ServerThread` hosts it for tests and tools;
 * :mod:`~repro.serve.loadtest` — seeded open/closed-loop load
   generation with latency quantiles, quality cross-checks, and a

@@ -7,19 +7,22 @@ runtime dependencies):
 * ``POST /compile`` — a :mod:`~repro.serve.wire` compile request;
   answered from the shared warm :class:`~repro.engine.cache.
   ScheduleCache` on the *fast lane* (a tiny thread pool that never
-  queues behind a batch), or batched into waves and fanned over
-  :class:`~repro.engine.pool.CompilationEngine` workers on the *engine
-  lane* (a single-thread executor, so the engine and its telemetry are
-  only ever touched from one thread).
-* ``GET /healthz`` — liveness + queue depths, always instant.
+  waits for the engine), or handed to
+  :class:`~repro.engine.pool.CompilationEngine` on the *engine lane*
+  (``jobs`` threads, each running one request's
+  :meth:`~repro.engine.pool.CompilationEngine.run_tasks`, so
+  overlapping cold requests share the worker pool and each is answered
+  as soon as its own regions finish).
+* ``GET /healthz`` — liveness + pending/in-flight counts, always
+  instant.
 * ``GET /metrics`` — the full :class:`~repro.observability.metrics.
   MetricsRegistry` snapshot (``serve.*`` quantile histograms), the
   engine's telemetry, and cache statistics.
 
 In-flight requests are deduplicated by the composite wire fingerprint
-(concurrent identical requests coalesce onto one compile), a bounded
-queue sheds load with ``429`` + ``Retry-After`` once the backpressure
-limit is hit, and every served region emits a
+(concurrent identical requests coalesce onto one compile), cold
+requests past the backpressure limit are shed with ``429`` +
+``Retry-After``, and every served region emits a
 :class:`~repro.observability.flight.FlightRecord` into a shared ledger
 so ``repro timeline`` works on server ledgers unchanged.
 
@@ -48,9 +51,10 @@ from ..engine.pool import (
     RegionTask,
     TaskOutcome,
     execute_task,
+    flight_record,
 )
 from ..harness.experiment import STATUS_OK, aggregate_program_result
-from ..harness.results import RegionResult, program_result_to_dict
+from ..harness.results import program_result_to_dict
 from ..observability.flight import FlightLedger, FlightRecord
 from ..observability.metrics import MetricsRegistry
 from ..schedulers.base import Scheduler
@@ -102,12 +106,12 @@ class ServeConfig:
         host: Bind address.
         port: Bind port; ``0`` picks an ephemeral port (the bound port
             is reported by :attr:`CompileServer.port` after start).
-        jobs: Worker processes for the compilation engine.
+        jobs: Worker processes for the compilation engine, and threads
+            on the engine lane (cold requests compiled at once).
         cache_dir: Directory for the shared on-disk schedule cache;
             ``None`` keeps the warm cache purely in memory.
         cache_capacity: In-memory LRU capacity of the schedule cache.
-        max_batch: Most requests folded into one engine wave.
-        queue_limit: Cold requests allowed to wait for the engine
+        queue_limit: Cold requests admitted but not yet finished
             before new ones are shed with ``429``.
         client_limit: Concurrent requests allowed per client address
             before that client is shed with ``429``.
@@ -124,7 +128,6 @@ class ServeConfig:
     jobs: int = 1
     cache_dir: Optional[str] = None
     cache_capacity: int = 4096
-    max_batch: int = 8
     queue_limit: int = 64
     client_limit: int = 16
     read_timeout_s: float = 30.0
@@ -137,10 +140,10 @@ class CompileServer:
     """The asyncio compile service (see the module docstring).
 
     Life cycle: construct, ``await start()``, serve, ``await stop()``.
-    All mutable state — the dedup map, per-client counts, the
-    ``serve.*`` registry — is touched only from the event loop; the
-    fast lane and engine lane are reached exclusively through
-    ``run_in_executor``.
+    All mutable state — the dedup map, per-client counts, the pending
+    count, the ``serve.*`` registry — is touched only from the event
+    loop; the fast lane and engine lane are reached exclusively
+    through ``run_in_executor``.
     """
 
     def __init__(
@@ -170,16 +173,15 @@ class CompileServer:
         )
         self.metrics = MetricsRegistry()
         # Two executors, never shared: the fast lane answers warm
-        # requests without queueing behind a batch; the single-thread
-        # engine lane is the only thread that ever touches the engine
-        # (its telemetry registry is not thread-safe by design).
+        # requests without waiting for the engine; the engine lane runs
+        # one cold request per thread (the engine is thread-safe).
         self._fast_lane = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="serve-fast"
         )
         self._engine_lane = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-engine"
+            max_workers=self.config.jobs, thread_name_prefix="serve-engine"
         )
-        self._queue: asyncio.Queue = asyncio.Queue()
+        self._pending = 0
         self._inflight: Dict[str, asyncio.Future] = {}
         self._parse_cache: "OrderedDict[bytes, ParsedRequest]" = OrderedDict()
         self._response_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -191,7 +193,6 @@ class CompileServer:
         self._index_lock = threading.Lock()
         self._started_s = time.time()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._batcher: Optional[asyncio.Task] = None
         self._connections: set = set()
 
     # -- life cycle ----------------------------------------------------
@@ -203,11 +204,10 @@ class CompileServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Bind the listening socket and launch the batcher."""
+        """Bind the listening socket."""
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
-        self._batcher = asyncio.get_running_loop().create_task(self._batch_loop())
 
     async def stop(self) -> None:
         """Stop listening, drain state, and release every resource."""
@@ -218,10 +218,6 @@ class CompileServer:
             task.cancel()
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await task
-        if self._batcher is not None:
-            self._batcher.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._batcher
         for future in self._inflight.values():
             if not future.done():
                 future.set_exception(RuntimeError("server shutting down"))
@@ -406,25 +402,19 @@ class CompileServer:
             "kind": "healthz",
             "status": "ok",
             "uptime_s": time.time() - self._started_s,
-            "pending": self._queue.qsize(),
+            "pending": self._pending,
             "inflight": len(self._inflight),
         }
 
     async def _metrics_payload(self) -> Dict[str, Any]:
         """The full observability payload for ``GET /metrics``."""
-        loop = asyncio.get_running_loop()
-        # The engine's registry is only safe to read from the engine
-        # lane; this serializes the snapshot behind any running batch.
-        engine_snapshot = await loop.run_in_executor(
-            self._engine_lane, self.engine.telemetry.snapshot
-        )
         return {
             "kind": "metrics",
             "uptime_s": time.time() - self._started_s,
-            "pending": self._queue.qsize(),
+            "pending": self._pending,
             "inflight": len(self._inflight),
             "serve": self.metrics.snapshot(),
-            "engine": engine_snapshot,
+            "engine": self.engine.telemetry_snapshot(),
             "cache": self.cache.stats.to_dict(),
             "ledger_records": len(self.ledger.records),
         }
@@ -434,7 +424,7 @@ class CompileServer:
     async def _compile(
         self, body: bytes, client: str
     ) -> Tuple[int, Dict[str, Any]]:
-        """Serve one compile request: dedup, fast lane, or batch queue.
+        """Serve one compile request: dedup, fast lane, or engine lane.
 
         Args:
             body: Raw JSON request body.
@@ -504,7 +494,7 @@ class CompileServer:
     async def _compile_parsed(
         self, parsed: ParsedRequest
     ) -> Tuple[int, Dict[str, Any]]:
-        """The dedup / warm-fast-lane / cold-queue decision tree.
+        """The dedup / warm-fast-lane / cold-engine-lane decision tree.
 
         Args:
             parsed: The validated request.
@@ -524,7 +514,7 @@ class CompileServer:
             self.metrics.inc("serve.fast_path")
             return 200, cached
         warm = all(self.cache.contains(fp.key) for fp in parsed.fingerprints)
-        if not warm and self._queue.qsize() >= self.config.queue_limit:
+        if not warm and self._pending >= self.config.queue_limit:
             self.metrics.inc("serve.shed.queue")
             return 429, _shed_payload("compile queue full")
         future: asyncio.Future = loop.create_future()
@@ -537,11 +527,20 @@ class CompileServer:
                 )
             else:
                 self.metrics.inc("serve.compiled")
-                self.metrics.observe(
-                    "serve.queue_depth", float(self._queue.qsize())
-                )
-                await self._queue.put((parsed, future))
-                response = await asyncio.shield(future)
+                self.metrics.observe("serve.queue_depth", float(self._pending))
+                self._pending += 1
+                try:
+                    # The lane's threads share the engine's worker pool,
+                    # so this request is answered as soon as its own
+                    # regions finish.
+                    outcomes = await loop.run_in_executor(
+                        self._engine_lane,
+                        self.engine.run_tasks,
+                        self._build_tasks(parsed),
+                    )
+                finally:
+                    self._pending -= 1
+                response = self._build_response(parsed, outcomes, served="compile")
         except Exception as exc:
             if not future.done():
                 # Resolve coalescers with the same failure rather than
@@ -617,14 +616,13 @@ class CompileServer:
     def _serve_warm(self, parsed: ParsedRequest) -> Dict[str, Any]:
         """Answer a fully-warm request on the fast lane (worker thread).
 
-        Replays each region's cached schedule via a direct
-        :meth:`~repro.engine.cache.ScheduleCache.get` on the request's
-        already-computed fingerprints — no engine queueing and no
+        Replays each region's cached schedule through
+        :func:`~repro.engine.pool.execute_task` on the request's
+        already-computed fingerprints — no engine and no
         re-canonicalization, which is what keeps warm responses
         sub-millisecond.  A region whose entry was evicted between the
-        advisory probe and this lookup falls back to
-        :func:`~repro.engine.pool.execute_task` inline.  Emits the same
-        flight records the engine would.
+        advisory probe and the lookup is simply compiled inline.  Emits
+        the same flight records the engine would.
 
         Args:
             parsed: The validated request.
@@ -633,83 +631,18 @@ class CompileServer:
             The compile response payload.
         """
         tasks = self._build_tasks(parsed)
-        outcomes = []
-        for task, fingerprint in zip(tasks, parsed.fingerprints):
-            started = time.time()
-            lookup = time.perf_counter()
-            hit = self.cache.get(fingerprint, task.region)
-            if hit is None:
-                outcomes.append(execute_task(task, self.cache))
-                continue
-            result = RegionResult(
-                region_name=task.region.name,
-                cycles=hit.cycles,
-                transfers=hit.transfers,
-                utilization=hit.utilization,
-                compile_seconds=time.perf_counter() - lookup,
-                n_instructions=len(task.region.ddg),
-                comm_busy=hit.comm_busy,
-                verified=hit.verified,
-                diagnostics=list(hit.diagnostics),
-            )
-            outcomes.append(
-                TaskOutcome(
-                    index=task.index,
-                    result=result,
-                    schedule=hit.schedule,
-                    cache_status=CACHE_HIT,
-                    worker=os.getpid(),
-                    fingerprint=fingerprint.key,
-                    started_s=started,
-                    finished_s=time.time(),
-                )
-            )
+        outcomes = [execute_task(task, self.cache) for task in tasks]
         for task, outcome in zip(tasks, outcomes):
-            self._record_flight(task, outcome)
+            self.ledger.append(flight_record(task, outcome, None))
         return self._build_response(parsed, outcomes, served="cache")
-
-    async def _batch_loop(self) -> None:
-        """Fold queued cold requests into engine waves, forever."""
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = [await self._queue.get()]
-            while (
-                len(batch) < self.config.max_batch and not self._queue.empty()
-            ):
-                batch.append(self._queue.get_nowait())
-            self.metrics.inc("serve.batches")
-            self.metrics.observe("serve.batch_size", float(len(batch)))
-            tasks: List[RegionTask] = []
-            spans = []
-            for parsed, _future in batch:
-                start = len(tasks)
-                tasks.extend(self._build_tasks(parsed))
-                spans.append((start, len(tasks)))
-            try:
-                outcomes = await loop.run_in_executor(
-                    self._engine_lane, self.engine.run_tasks, tasks
-                )
-            except Exception as exc:
-                for _parsed, future in batch:
-                    if not future.done():
-                        future.set_exception(
-                            RuntimeError(f"engine wave failed: {exc}")
-                        )
-                continue
-            for (parsed, future), (start, end) in zip(batch, spans):
-                if future.done():
-                    continue
-                future.set_result(
-                    self._build_response(
-                        parsed, outcomes[start:end], served="compile"
-                    )
-                )
 
     def _build_tasks(self, parsed: ParsedRequest) -> List[RegionTask]:
         """Materialize one engine task per region of a request.
 
         Indices come from a server-global monotonic counter so merged
-        ledgers stay unambiguous across batches.
+        ledgers stay unambiguous across requests.  Each task carries
+        its region's fingerprint from parsing, so the engine does not
+        recompute it.
 
         Args:
             parsed: The validated request.
@@ -731,48 +664,12 @@ class CompileServer:
                 capture_errors=True,
                 verify=parsed.verify,
                 submit_s=now,
+                fingerprint=fingerprint,
             )
-            for offset, region in enumerate(parsed.program.regions)
+            for offset, (region, fingerprint) in enumerate(
+                zip(parsed.program.regions, parsed.fingerprints)
+            )
         ]
-
-    def _record_flight(self, task: RegionTask, outcome: TaskOutcome) -> None:
-        """Append one fast-lane task to the shared flight ledger.
-
-        Mirrors the engine's own ledger rows so ``repro timeline``
-        reads mixed fast-lane/engine ledgers unchanged.
-
-        Args:
-            task: The executed task.
-            outcome: Its outcome.
-        """
-        queue_wait = max(0.0, outcome.started_s - task.submit_s)
-        execute = max(0.0, outcome.finished_s - outcome.started_s)
-        self.ledger.append(
-            FlightRecord(
-                index=task.index,
-                region=task.region.name,
-                machine=task.machine.name,
-                scheduler=getattr(
-                    task.scheduler, "name", type(task.scheduler).__name__
-                ),
-                fingerprint=outcome.fingerprint,
-                cache_status=outcome.cache_status,
-                worker=outcome.worker,
-                submit_s=task.submit_s,
-                start_s=outcome.started_s,
-                finish_s=outcome.finished_s,
-                queue_wait_s=queue_wait,
-                execute_s=execute,
-                attempts=outcome.attempts,
-                route_level=task.route_level,
-                breaker=None,
-                degradation_level=outcome.degradation_level,
-                deadline_s=task.deadline_s,
-                deadline_slack_s=None,
-                status=outcome.result.status,
-                cycles=outcome.result.cycles,
-            )
-        )
 
     def _build_response(
         self,
