@@ -246,6 +246,8 @@ class ConvergentScheduler(Scheduler):
                         changed_fraction=record.changed_fraction, **delta
                     )
 
+        if guard is not None:
+            guard.release()
         if budget is not None:
             budget.check("extract_assignment")
         with tracer.span("extract_assignment", region=region.name):

@@ -20,13 +20,17 @@ runs under a :class:`PassGuard`:
 On the happy path the guard only adds a checkpoint copy and a health
 scan; it never changes what a well-behaved sequence computes, so guarded
 scheduling is cycle-for-cycle identical to unguarded scheduling when no
-pass misbehaves.
+pass misbehaves.  The checkpoint is copied into one buffer the guard
+owns and reuses for every pass; :meth:`PassGuard.release` drops it once
+the run is over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
+
+import numpy as np
 
 from .passes import PassContext, SchedulingPass
 from .weights import PreferenceMatrix
@@ -99,10 +103,16 @@ class PassGuard:
     events: List[GuardEvent] = field(default_factory=list)
     failure_counts: Dict[str, int] = field(default_factory=dict)
     _quarantined: Set[str] = field(default_factory=set)
+    _checkpoint: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
+
+    def release(self) -> None:
+        """Drop the reused checkpoint buffer (the next :meth:`run`
+        allocates a fresh one), so a finished guard holds no matrix."""
+        self._checkpoint = None
 
     # ------------------------------------------------------------------
 
@@ -148,7 +158,7 @@ class PassGuard:
             back.
         """
         matrix: PreferenceMatrix = ctx.matrix
-        token = matrix.checkpoint()
+        token = self._checkpoint = matrix.checkpoint(out=self._checkpoint)
         failure: Optional[str] = None
         kind = "exception"
         try:

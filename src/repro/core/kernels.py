@@ -13,7 +13,7 @@ numpy operations over ``W[i, c, t]``:
   arrays, preplacement and feasibility masks, and register-liveness
   spans;
 * each pass body becomes masked broadcasting, fancy-indexed multiplies,
-  ``np.add.at`` scatter accumulation, or batched row blends.
+  ``np.add.at`` scatter accumulation, or in-place row blends.
 
 docs/kernels.md derives each kernel from its scalar rule.  The kernels
 are **bit-compatible** with the scalar reference implementations (kept
@@ -686,33 +686,6 @@ def register_pressure_kernel(
     return out[0]
 
 
-def blend_rows_from_source(
-    matrix: PreferenceMatrix, rows: Sequence[int], source: int, keep: float
-) -> None:
-    """Blend one source row into several destination rows at once.
-
-    Batched ``W[r] = keep·W[r] + (1-keep)·W[source]`` for all ``r`` in
-    ``rows`` — bit-identical to sequential per-row
-    :meth:`~repro.core.weights.PreferenceMatrix.blend` calls because the
-    rows are distinct and none of them is the source (PATHPROP's walks
-    guarantee both).
-
-    Args:
-        matrix: The preference matrix to update (caller normalizes).
-        rows: Distinct destination rows, none equal to ``source``.
-        source: The row blended into every destination.
-        keep: Fraction of each destination's own weights retained.
-    """
-    if not 0.0 <= keep <= 1.0:
-        raise ValueError("keep must be in [0, 1]")
-    if not len(rows):
-        return
-    w = matrix.data
-    idx = np.asarray(rows, dtype=np.int64)
-    w[idx] = keep * w[idx] + (1.0 - keep) * w[source]
-    matrix.touch()
-
-
 def pathprop_kernel(
     index: RegionIndex, matrix: PreferenceMatrix, threshold: float
 ) -> None:
@@ -721,10 +694,12 @@ def pathprop_kernel(
     The walk structure depends only on the *pre-pass* confidences, the
     graph, and preplacement — never on weights mutated mid-pass — so
     each source's down/up walk is computed as a Python chain over the
-    index's edge lists and then applied as one batched
-    :func:`blend_rows_from_source` per walk.  Sources stay sequential:
-    an earlier source's blends legitimately change what a later source
-    propagates.
+    index's edge lists.  Each walk row is then blended in place, in
+    walk order: ``(1-keep)·W[source]`` is computed once per source and
+    every row runs ``row *= keep; row += mix`` — the reference's
+    products and sums exactly, with no temporary per row.  Sources stay
+    sequential: an earlier source's blends legitimately change what a
+    later source propagates.
 
     Args:
         index: The region's :class:`RegionIndex`.
@@ -748,40 +723,20 @@ def pathprop_kernel(
     up = _first_min_steps(index.pred_indptr, index.pred_indices, conf, index)
     w = matrix.data
     keep = 0.5
-    # Blends from consecutive sources are batched into one fancy-indexed
-    # assignment while they cannot observe each other: numpy evaluates
-    # the whole right-hand side from pre-batch weights, which matches
-    # the sequential reference as long as (a) no row is written twice in
-    # a batch and (b) no batch source's own row was written earlier in
-    # the batch.  Either conflict flushes first, so every source still
-    # reads exactly what the reference would have it read.
-    pend_rows: List[int] = []
-    pend_src: List[int] = []
-    written: set = set()
-
-    def _flush() -> None:
-        if pend_rows:
-            idx = np.asarray(pend_rows, dtype=np.int64)
-            src = np.asarray(pend_src, dtype=np.int64)
-            w[idx] = keep * w[idx] + (1.0 - keep) * w[src]
-            matrix.touch()
-        pend_rows.clear()
-        pend_src.clear()
-        written.clear()
-
     for source in sources:
         rows = _pathprop_walk(down, source, conf[source])
         rows += _pathprop_walk(up, source, conf[source])
         # Down-walk rows are descendants and up-walk rows ancestors, so
-        # the combined row set is distinct and excludes the source.
+        # the combined row set is distinct and excludes the source: the
+        # source row is constant while its walks are blended.
         if not rows:
             continue
-        if source in written or not written.isdisjoint(rows):
-            _flush()
-        pend_rows += rows
-        pend_src += [source] * len(rows)
-        written.update(rows)
-    _flush()
+        mix = (1.0 - keep) * w[source]
+        for r in rows:
+            row = w[r]
+            row *= keep
+            row += mix
+    matrix.touch()
     matrix.normalize()
 
 

@@ -111,13 +111,23 @@ class PreferenceMatrix:
     # Checkpoint / restore / health (fault tolerance)
     # ------------------------------------------------------------------
 
-    def checkpoint(self) -> np.ndarray:
+    def checkpoint(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """A cheap restore token: a flat copy of the raw weights.
 
         Unlike :meth:`copy` no ``PreferenceMatrix`` object is built, so a
         checkpoint costs one array copy — taken before every guarded pass.
+
+        Args:
+            out: An earlier token to overwrite in place (no allocation);
+                ignored unless its shape matches the matrix.
+
+        Returns:
+            ``out`` holding the current weights, or a fresh copy.
         """
-        return self._w.copy()
+        if out is None or out.shape != self._w.shape:
+            return self._w.copy()
+        np.copyto(out, self._w)
+        return out
 
     def restore(self, token: np.ndarray) -> None:
         """Roll the weights back to a :meth:`checkpoint` token."""

@@ -14,7 +14,8 @@ Two concrete models exist: :class:`~repro.machine.vliw.ClusteredVLIW`
 from __future__ import annotations
 
 import abc
-from typing import Sequence, Tuple
+import functools
+from typing import Dict, Sequence, Tuple
 
 from ..ir.opcode import FuncClass, LatencyModel, Opcode
 from .fu import Cluster
@@ -66,6 +67,19 @@ class Machine(abc.ABC):
         if func_class in (FuncClass.PSEUDO, FuncClass.CONST):
             return True
         return self.clusters[cluster].can_execute(func_class)
+
+    @functools.cached_property
+    def feasibility_table(self) -> Dict[FuncClass, Tuple[int, ...]]:
+        """``func_class -> clusters`` that can execute it, in index order.
+
+        Built once per machine, on first use, from :meth:`can_execute`:
+        the clusters never change, so every later feasibility query is
+        one dict lookup instead of a scan over clusters and units.
+        """
+        return {
+            fc: tuple(c for c in range(self.n_clusters) if self.can_execute(c, fc))
+            for fc in FuncClass
+        }
 
     # ------------------------------------------------------------------
     # Communication model

@@ -42,15 +42,15 @@ def feasible_clusters(inst: Instruction, machine: Machine) -> List[int]:
 
     Honors functional-unit availability, hard preplacement
     (``home_cluster``), and hard memory-bank affinity on machines like
-    Raw where a load *must* run on its bank's tile.
+    Raw where a load *must* run on its bank's tile.  Unit availability
+    comes from :attr:`Machine.feasibility_table
+    <repro.machine.machine.Machine.feasibility_table>`.
     """
     if inst.home_cluster is not None:
         return [inst.home_cluster]
     if inst.is_memory and inst.bank is not None and machine.memory_affinity == "hard":
         return [machine.bank_home(inst.bank)]
-    return [
-        c for c in range(machine.n_clusters) if machine.can_execute(c, inst.func_class)
-    ]
+    return list(machine.feasibility_table[inst.func_class])
 
 
 def effective_latency(inst: Instruction, cluster: int, machine: Machine) -> int:

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.ir import RegionBuilder
+from repro.ir.opcode import FuncClass, LatencyModel
 from repro.machine import ClusteredVLIW, RawMachine
+from repro.machine.fu import Cluster, FunctionalUnit
+from repro.machine.machine import Machine
 from repro.workloads import apply_congruence, build_benchmark
 
 
@@ -31,6 +34,42 @@ def raw4():
 def raw16():
     """The full 4x4 Raw prototype."""
     return RawMachine(4, 4)
+
+
+class BusMachine(Machine):
+    """Two clusters of one unit each over ``classes``, joined by a bus:
+    a machine outside the raw*/vliw* families, with soft memory
+    affinity."""
+
+    memory_affinity = "soft"
+    remote_mem_penalty = 0
+
+    def __init__(self, classes, name: str, hop_latency: int = 1):
+        units = (FunctionalUnit("u", frozenset(classes)),)
+        clusters = [Cluster(index=i, units=units) for i in range(2)]
+        super().__init__(clusters, LatencyModel(), name)
+        self.hop_latency = hop_latency
+
+    def comm_latency(self, src, dst):
+        return 0 if src == dst else self.hop_latency
+
+    def comm_resources(self, src, dst):
+        return () if src == dst else (("bus", src, dst),)
+
+    def distance(self, src, dst):
+        return 0 if src == dst else 1
+
+
+def fabric2() -> BusMachine:
+    """Every class on both clusters, two-cycle hops."""
+    classes = {FuncClass.IALU, FuncClass.IMUL, FuncClass.FPU, FuncClass.MEM,
+               FuncClass.CONST}
+    return BusMachine(classes, "fabric2", hop_latency=2)
+
+
+def intonly2() -> BusMachine:
+    """Integer units only: no FPU anywhere."""
+    return BusMachine({FuncClass.IALU, FuncClass.CONST, FuncClass.MEM}, "intonly2")
 
 
 def build_dot_region(n: int = 4, banks: int = 4, name: str = "dot"):

@@ -16,7 +16,7 @@ from repro.core.passes import PASS_REGISTRY, Noise
 from repro.ir import RegionBuilder
 from repro.sim import simulate
 
-from .conftest import build_dot_region
+from .conftest import build_dot_region, fabric2
 
 
 class TestSequences:
@@ -176,35 +176,8 @@ class TestGenericMachineFallback:
         """A machine outside the raw*/vliw* families schedules with the
         generic sequence instead of raising."""
         from repro.core.sequences import GENERIC_SEQUENCE
-        from repro.ir.opcode import FuncClass, LatencyModel
-        from repro.machine.fu import Cluster, FunctionalUnit
-        from repro.machine.machine import Machine
 
-        class TinyFabric(Machine):
-            memory_affinity = "soft"
-            remote_mem_penalty = 0
-
-            def __init__(self):
-                classes = frozenset(
-                    {FuncClass.IALU, FuncClass.IMUL, FuncClass.FPU,
-                     FuncClass.MEM, FuncClass.CONST}
-                )
-                clusters = [
-                    Cluster(index=i, units=(FunctionalUnit("u", classes),))
-                    for i in range(2)
-                ]
-                super().__init__(clusters, LatencyModel(), "fabric2")
-
-            def comm_latency(self, src, dst):
-                return 0 if src == dst else 2
-
-            def comm_resources(self, src, dst):
-                return () if src == dst else (("bus", src, dst),)
-
-            def distance(self, src, dst):
-                return 0 if src == dst else 1
-
-        machine = TinyFabric()
+        machine = fabric2()
         region = build_dot_region(n=4, banks=2)
         result = ConvergentScheduler().converge(region, machine)
         assert simulate(region, machine, result.schedule).ok

@@ -38,6 +38,7 @@ from repro.machine.raw import raw_with_tiles
 from repro.schedulers.list_scheduler import feasible_clusters
 from repro.verify import verify_pass_contracts
 from repro.workloads import apply_congruence, build_benchmark
+from repro.workloads.synthetic import layered_graph
 
 from .test_properties import random_dags
 
@@ -138,6 +139,16 @@ class TestLockstepEquivalence:
         program = build_benchmark(bench, machine)
         for region in program.regions:
             _lockstep(region, machine, list(sequence))
+
+    @pytest.mark.parametrize(
+        "machine_key,sequence",
+        [("raw4", RAW_SEQUENCE), ("vliw4", TUNED_VLIW_SEQUENCE)],
+    )
+    def test_large_layered_region_bitwise_equal(self, machine_key, sequence):
+        """Long PATHPROP walks over many sources: the in-place blends
+        match the scalar reference's walk-order updates byte for byte."""
+        (region,) = layered_graph(400, width=12, seed=0).regions
+        _lockstep(region, MACHINES[machine_key], list(sequence))
 
     def test_numpy_bfs_fallback_stays_equivalent(self, monkeypatch):
         """With SciPy masked out, kernels fall back to the numpy BFS and

@@ -42,7 +42,7 @@ from repro.schedulers import (
 from repro.sim import simulate
 from repro.workloads import build_benchmark
 
-from .conftest import build_dot_region
+from .conftest import build_dot_region, intonly2
 
 
 def make_ctx(region, machine, seed=0):
@@ -192,6 +192,58 @@ class TestPassGuard:
         with pytest.raises(ValueError):
             PassGuard(quarantine_after=0)
 
+    def test_two_failures_in_a_row_restore_exact_bytes(self, dot_region, vliw4):
+        ctx = make_ctx(dot_region, vliw4)
+        ctx.matrix.scale(0, 3.0, cluster=1)
+        ctx.matrix.normalize()
+        before = ctx.matrix.data.tobytes()
+        guard = PassGuard(quarantine_after=10)
+        assert guard.run(RaisingPass(), ctx) is not None
+        assert ctx.matrix.data.tobytes() == before
+        assert guard.run(NaNInjector(), ctx) is not None
+        assert ctx.matrix.data.tobytes() == before
+
+    def test_failure_after_success_restores_post_success_bytes(
+        self, dot_region, vliw4
+    ):
+        ctx = make_ctx(dot_region, vliw4)
+        guard = PassGuard(quarantine_after=10)
+        assert guard.run(make_pass("INITTIME"), ctx) is None
+        after_success = ctx.matrix.data.tobytes()
+        assert guard.run(NaNInjector(), ctx) is not None
+        assert ctx.matrix.data.tobytes() == after_success
+        assert guard.run(RaisingPass(), ctx) is not None
+        assert ctx.matrix.data.tobytes() == after_success
+
+    def test_finished_guard_holds_no_matrix(self, mxm_vliw, vliw4):
+        scheduler = ConvergentScheduler()
+        scheduler.converge(mxm_vliw, vliw4)
+        guard = scheduler.last_result.guard
+        assert not any(isinstance(v, np.ndarray) for v in vars(guard).values())
+
+    def test_reused_checkpoint_matches_fresh_copies_under_tracing(
+        self, monkeypatch, mxm_vliw, vliw4
+    ):
+        """The reused buffer never aliases the tracer's own pre-pass copy:
+        traced runs give the same cycles and per-pass L1 churn as a guard
+        that checkpoints into a fresh copy before every pass."""
+        import repro.core.convergent as convergent
+        from repro.observability import Tracer
+
+        class FreshCopyGuard(PassGuard):
+            def run(self, scheduling_pass, ctx, round_index=0):
+                self.release()
+                return super().run(scheduling_pass, ctx, round_index)
+
+        reused = ConvergentScheduler(tracer=Tracer()).converge(mxm_vliw, vliw4)
+        monkeypatch.setattr(convergent, "PassGuard", FreshCopyGuard)
+        fresh = ConvergentScheduler(tracer=Tracer()).converge(mxm_vliw, vliw4)
+        assert isinstance(fresh.guard, FreshCopyGuard)
+        assert reused.schedule.makespan == fresh.schedule.makespan
+        churn = [r.l1_churn for r in reused.trace.records]
+        assert churn == [r.l1_churn for r in fresh.trace.records]
+        assert any(c > 0 for c in churn)
+
     def test_event_describe_mentions_pass(self):
         event = GuardEvent("FAULT_NAN", 0, "health", "NaN in row 3")
         assert "FAULT_NAN" in event.describe()
@@ -246,34 +298,7 @@ class TestGuardedScheduler:
         assert not guarded.degraded
 
     def test_extract_assignment_empty_feasible_is_descriptive(self):
-        from repro.ir.opcode import FuncClass, LatencyModel
-        from repro.machine.fu import Cluster, FunctionalUnit
-        from repro.machine.machine import Machine
-
-        class IntOnlyMachine(Machine):
-            """Two clusters with integer units only — no FPU anywhere."""
-
-            memory_affinity = "soft"
-            remote_mem_penalty = 0
-
-            def __init__(self):
-                classes = frozenset({FuncClass.IALU, FuncClass.CONST, FuncClass.MEM})
-                clusters = [
-                    Cluster(index=i, units=(FunctionalUnit("u", classes),))
-                    for i in range(2)
-                ]
-                super().__init__(clusters, LatencyModel(), "intonly2")
-
-            def comm_latency(self, src, dst):
-                return 0 if src == dst else 1
-
-            def comm_resources(self, src, dst):
-                return () if src == dst else (("bus", src, dst),)
-
-            def distance(self, src, dst):
-                return 0 if src == dst else 1
-
-        machine = IntOnlyMachine()
+        machine = intonly2()
         region = build_dot_region(n=2, banks=2)  # contains FMULs
         matrix = PreferenceMatrix.for_region(region.ddg, machine.n_clusters)
         with pytest.raises(SchedulingError, match="no feasible cluster"):

@@ -3,9 +3,19 @@
 import pytest
 
 from repro.ir import Opcode
-from repro.ir.opcode import FuncClass, LatencyModel
-from repro.machine import ClusteredVLIW, RawMachine, raw_with_tiles, single_cluster_vliw
+from repro.ir.instruction import Instruction
+from repro.ir.opcode import FUNC_CLASS, FuncClass, LatencyModel
+from repro.machine import (
+    ClusteredVLIW,
+    RawMachine,
+    machine_from_spec,
+    raw_with_tiles,
+    single_cluster_vliw,
+)
 from repro.machine.fu import Cluster, FunctionalUnit
+from repro.schedulers.list_scheduler import feasible_clusters
+
+from .conftest import fabric2, intonly2
 
 
 class TestFunctionalUnits:
@@ -154,3 +164,42 @@ class TestMachineValidation:
             Machine.__init__(
                 ClusteredVLIW.__new__(ClusteredVLIW), [], LatencyModel(), "none"
             )
+
+
+def _unit_scan(machine, cluster, func_class):
+    """First-principles feasibility: does any unit of ``cluster`` take
+    ``func_class`` (pseudo ops and constants run anywhere)?"""
+    if func_class in (FuncClass.PSEUDO, FuncClass.CONST):
+        return True
+    return any(func_class in u.classes for u in machine.clusters[cluster].units)
+
+
+def _feasibility_machines():
+    specs = ["vliw1", "vliw2", "vliw4", "vliw8", "raw1x1", "raw2x2", "raw4x4",
+             "raw8x8", "raw4", "raw16"]
+    machines = [machine_from_spec(spec) for spec in specs]
+    return machines + [
+        fabric2(),
+        intonly2(),
+        ClusteredVLIW(4, fp_clusters=(0, 1)),
+        ClusteredVLIW(4, fp_clusters=(3,)),
+    ]
+
+
+class TestFeasibilityTable:
+    @pytest.mark.parametrize("machine", _feasibility_machines(), ids=lambda m: m.name)
+    def test_table_matches_unit_scan(self, machine):
+        for fc in FuncClass:
+            scan = [c for c in range(machine.n_clusters) if _unit_scan(machine, c, fc)]
+            assert list(machine.feasibility_table[fc]) == scan
+            assert [c for c in range(machine.n_clusters)
+                    if machine.can_execute(c, fc)] == scan
+            for opcode in (op for op in Opcode if FUNC_CLASS[op] is fc):
+                # A free (unhomed, bankless) instruction of this class.
+                inst = Instruction(uid=0, opcode=opcode)
+                assert feasible_clusters(inst, machine) == scan
+
+    def test_table_is_built_once(self):
+        machine = ClusteredVLIW(4, fp_clusters=(0, 1))
+        assert machine.feasibility_table is machine.feasibility_table
+        assert machine.feasibility_table[FuncClass.FPU] == (0, 1)
